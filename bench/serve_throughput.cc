@@ -73,9 +73,7 @@ struct PointConfig {
     cfg.replay_pipeline.prefetch_batches = static_cast<size_t>(flags.GetInt(
         "prefetch", 2, "ready batches the replay prefetcher keeps ahead"));
     cfg.service.max_batch = static_cast<size_t>(flags.GetInt(
-        "max_batch", 16, "micro-batcher: max coalesced rank requests"));
-    cfg.service.batch_window_us = flags.GetInt(
-        "window_us", 200, "micro-batcher coalescing window (µs)");
+        "max_batch", 16, "micro-batcher: max queued rank requests per batch"));
     cfg.service.flush_block_events = static_cast<size_t>(flags.GetInt(
         "flush_block", 4, "feedback events per local-buffer flush block"));
     cfg.service.publish_every_events = flags.GetInt(

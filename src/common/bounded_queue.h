@@ -150,36 +150,18 @@ class BoundedQueue {
   }
 
   /// Micro-batching pop: blocks until at least one item is available (or
-  /// the queue is closed and drained), then keeps draining up to
-  /// `max_items`, waiting at most `coalesce_us` microseconds for
-  /// stragglers to join the batch. Appends to `*out`; returns the number
-  /// of items appended (0 iff closed and drained).
-  size_t PopBatch(std::vector<T>* out, size_t max_items, int64_t coalesce_us) {
+  /// the queue is closed and drained), then drains up to `max_items` that
+  /// are already queued, without waiting for more. Appends to `*out`;
+  /// returns the number of items appended (0 iff closed and drained).
+  size_t PopBatch(std::vector<T>* out, size_t max_items) {
     const size_t before = out->size();
     MutexLock lk(mu_);
     while (items_.empty() && !closed_) {
       not_empty_.Wait(mu_, lk);
     }
-    if (items_.empty()) return 0;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(coalesce_us);
-    for (;;) {
-      while (!items_.empty() && out->size() - before < max_items) {
-        out->push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-      if (out->size() - before >= max_items || closed_ || coalesce_us <= 0) {
-        break;
-      }
-      bool window_elapsed = false;
-      while (items_.empty() && !closed_) {
-        if (!not_empty_.WaitUntil(mu_, lk, deadline)) {
-          window_elapsed = true;  // coalescing window elapsed
-          break;
-        }
-      }
-      if (window_elapsed) break;
-      if (items_.empty()) break;  // woken by Close with nothing left
+    while (!items_.empty() && out->size() - before < max_items) {
+      out->push_back(std::move(items_.front()));
+      items_.pop_front();
     }
     lk.Unlock();
     not_full_.NotifyAll();

@@ -16,6 +16,9 @@ namespace crowdrl {
 ///
 /// The pool replaces the GPU the paper used: DQN batches parallelize
 /// perfectly across samples, so wall-clock per update scales ~1/cores.
+/// It belongs to the learner (DqnAgent::LearnStep) and the eval runner.
+/// Latency-bound work stays off it: the serve batcher scores ranks on its
+/// own thread, because a job submitted here waits out the running job.
 class ThreadPool {
  public:
   /// `num_threads == 0` selects `hardware_concurrency()`.

@@ -40,23 +40,31 @@ double DqnAgent::ComputeTarget(float reward,
 
 double FutureValueUnder(const QNetView& view, const FutureStateSpec& future,
                         bool double_q) {
+  // Warm per-thread scratch: after the first call on a thread, target
+  // computation touches no heap. Kept apart from InferenceWorkspace,
+  // whose cache LearnStep holds across a sample's forward and backward.
+  struct Scratch {
+    Matrix pool;
+    SetQNetwork::Cache cache;
+    std::vector<double> online_q, target_q;
+  };
+  thread_local Scratch ws;
   double expectation = 0;
   for (const auto& branch : future.branches) {
     for (const auto& [valid_n, prob] : branch.segments) {
       if (valid_n == 0 || prob <= 0) continue;
-      const Matrix pool = branch.base.SliceRows(0, valid_n);
+      branch.base.SliceRowsInto(0, valid_n, &ws.pool);
+      view.target->QValuesInto(ws.pool, valid_n, &ws.cache, &ws.target_q);
       double value;
       if (double_q) {
         // Double DQN: online net picks the action, target net scores it.
-        const auto online_q = view.online->QValues(pool, valid_n);
+        view.online->QValuesInto(ws.pool, valid_n, &ws.cache, &ws.online_q);
         const size_t best =
-            std::max_element(online_q.begin(), online_q.end()) -
-            online_q.begin();
-        const auto target_q = view.target->QValues(pool, valid_n);
-        value = target_q[best];
+            std::max_element(ws.online_q.begin(), ws.online_q.end()) -
+            ws.online_q.begin();
+        value = ws.target_q[best];
       } else {
-        const auto target_q = view.target->QValues(pool, valid_n);
-        value = *std::max_element(target_q.begin(), target_q.end());
+        value = *std::max_element(ws.target_q.begin(), ws.target_q.end());
       }
       expectation += static_cast<double>(prob) * value;
     }

@@ -1,6 +1,7 @@
 #include "net/learner_daemon.h"
 
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -10,6 +11,59 @@
 
 namespace crowdrl {
 namespace net {
+
+namespace {
+
+/// Meaning checks on one MDP's transitions from an untrusted remote actor.
+/// ParseFeedback proves only their structure; these checks keep bad rows
+/// from reaching the learner's internal CHECKs or poisoning its nets.
+Status ValidateMdpTransitions(const std::vector<Transition>& transitions,
+                              const DqnAgent* agent, const char* mdp) {
+  if (transitions.empty()) return Status::OK();
+  const auto bad = [mdp](const std::string& why) {
+    return Status::InvalidArgument(std::string(mdp) + " transition: " + why);
+  };
+  if (agent == nullptr) return bad("this framework has no such network");
+  const size_t dim = agent->config().net.input_dim;
+  for (const Transition& t : transitions) {
+    if (t.state.cols() != dim) {
+      return bad("state width " + std::to_string(t.state.cols()) +
+                 " != input_dim " + std::to_string(dim));
+    }
+    if (t.valid_n < 1 || t.valid_n > t.state.rows()) {
+      return bad("valid_n outside [1, rows]");
+    }
+    if (t.action_row < 0 || static_cast<size_t>(t.action_row) >= t.valid_n) {
+      return bad("action_row outside [0, valid_n)");
+    }
+    if (!std::isfinite(t.reward) || !std::isfinite(t.target) ||
+        t.state.HasNonFinite()) {
+      return bad("non-finite reward, target or state");
+    }
+    for (const FutureStateSpec::Branch& branch : t.future.branches) {
+      if (branch.base.cols() != dim) return bad("future branch width");
+      if (branch.base.HasNonFinite()) return bad("non-finite future state");
+      for (const auto& segment : branch.segments) {
+        if (!std::isfinite(segment.second)) {
+          return bad("non-finite branch probability");
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// The daemon's one validation step for client-minted transitions,
+/// checked against the owning shard's worker and requester networks.
+Status ValidateTransitions(const TransitionBlocks& blocks,
+                           const TaskArrangementFramework& framework) {
+  CROWDRL_RETURN_NOT_OK(ValidateMdpTransitions(
+      blocks.worker, framework.worker_agent(), "worker"));
+  return ValidateMdpTransitions(blocks.requester,
+                                framework.requester_agent(), "requester");
+}
+
+}  // namespace
 
 /// One Rank exchange awaiting its Feedback: the decoded observation (which
 /// owns the feature payloads its TaskSnapshots point into), the shard
@@ -121,6 +175,10 @@ Status LearnerDaemon::Dispatch(
           ParseFeedback(body.data(), body.size(), &feedback));
       bool accepted = false;
       if (feedback.mode == FeedbackMode::kClientTransitions) {
+        CROWDRL_RETURN_NOT_OK(ValidateTransitions(
+            feedback.blocks,
+            *service_->shard(service_->ShardOf(feedback.worker))
+                 ->framework()));
         remote_transitions_.fetch_add(
             static_cast<int64_t>(feedback.blocks.size()));
         accepted = service_->SubmitTransitions(feedback.worker,

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace crowdrl {
 
@@ -133,48 +132,34 @@ void ServiceShard::LearnerLoop() {
 
 void ServiceShard::BatcherLoop() {
   std::vector<RankRequest> batch;
-  // Persistent per-slot buffers: each batch slot keeps its warm
-  // DecisionContext and score vector across batches, so once every slot
-  // has seen its steady-state shape the scoring pass allocates nothing
-  // (the ticket receives a copy; the slot keeps its buffers).
-  std::vector<DecisionContext> contexts(config_.max_batch);
-  std::vector<std::vector<double>> scores(config_.max_batch);
+  // Warm buffers reused across requests: once they have seen the
+  // steady-state shape the scoring pass allocates nothing (the ticket
+  // receives a copy of the context; the batcher keeps its buffers).
+  DecisionContext ctx;
+  std::vector<double> scores;
   std::vector<double> latencies;
   for (;;) {
     batch.clear();
-    if (request_queue_.PopBatch(&batch, config_.max_batch,
-                                config_.batch_window_us) == 0) {
+    if (request_queue_.PopBatch(&batch, config_.max_batch) == 0) {
       break;  // closed and drained
     }
     // One snapshot per micro-batch: every request in the batch is scored
-    // against the same consistent parameters, lock-free.
+    // against the same consistent parameters, lock-free. Scoring stays on
+    // this thread: the shared pool belongs to the learner, and a rank
+    // handed to it would wait out whole learn steps.
     const std::shared_ptr<const PolicySnapshot> snapshot = channel_.Load();
     const ScoringView view = snapshot->View();
-    const size_t n = batch.size();
-    const auto score_one = [&](size_t i) {
-      framework_->BuildDecisionInto(*batch[i].obs, &contexts[i]);
-      framework_->ScoreDecisionInto(contexts[i], view, &scores[i]);
-    };
-    if (n == 1) {
-      score_one(0);
-    } else {
-      // The batched forward pass: set-states are independent, so the batch
-      // fans out across the shared pool (the learner's batch updates queue
-      // behind it on the same pool — acceptable, they are off the rank
-      // critical path by design).
-      ThreadPool::Global().ParallelFor(n, score_one);
-    }
     latencies.clear();
-    for (size_t i = 0; i < n; ++i) {
-      RankRequest& req = batch[i];
-      *req.ranking = framework_->RankDecision(*req.obs, contexts[i],
-                                              scores[i]);
-      req.ticket->ctx = contexts[i];
+    for (RankRequest& req : batch) {
+      framework_->BuildDecisionInto(*req.obs, &ctx);
+      framework_->ScoreDecisionInto(ctx, view, &scores);
+      *req.ranking = framework_->RankDecision(*req.obs, ctx, scores);
+      req.ticket->ctx = ctx;
       req.ticket->snapshot_version = snapshot->version;
       latencies.push_back(req.wait.ElapsedSeconds());
       req.done.set_value();  // req.* pointers are dead past this line
     }
-    requests_.fetch_add(static_cast<int64_t>(n));
+    requests_.fetch_add(static_cast<int64_t>(batch.size()));
     batches_.fetch_add(1);
     {
       MutexLock lk(stats_mu_);

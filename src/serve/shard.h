@@ -34,15 +34,17 @@ enum class RankFallback {
 
 /// Tuning knobs of one arrangement-service shard.
 struct ServiceConfig {
-  /// Micro-batcher: up to `max_batch` concurrent Rank requests are
-  /// coalesced (waiting at most `batch_window_us` for stragglers) and
-  /// scored against a single snapshot in one batched inference pass.
+  /// Micro-batcher: the batcher drains up to `max_batch` Rank requests
+  /// that are already queued (it never waits for more) and scores them on
+  /// its own thread against a single snapshot.
   size_t max_batch = 16;
-  int64_t batch_window_us = 200;
   /// Bound on queued rank requests (backpressure on actors).
   size_t request_queue_capacity = 1024;
-  /// Bound on queued transition blocks awaiting the learner.
-  size_t learner_queue_capacity = 256;
+  /// Bound on queued transition blocks awaiting the learner. This bound
+  /// is what holds closed-loop actors to the learner's pace: with the
+  /// default flush_block_events (4) it caps the queued backlog, and so
+  /// the policy staleness actors score with, at 32 events.
+  size_t learner_queue_capacity = 8;
   /// Per-session local buffer: feedback events accumulate locally and
   /// flush to the learner in blocks of this many events.
   size_t flush_block_events = 4;
@@ -144,9 +146,10 @@ struct ServiceStats {
 ///    bounded MPMC queue and, at feedback time, mint prioritized-replay
 ///    transitions whose Bellman targets are computed against a published
 ///    parameter snapshot;
-///  * one *batcher* thread coalesces concurrent Rank requests within a
-///    size/time window and scores the whole batch against a single
-///    snapshot in one batched inference pass;
+///  * one *batcher* thread drains the Rank requests already queued (up to
+///    max_batch, never waiting for stragglers) and scores them on its own
+///    thread against a single snapshot, so ranking never queues behind a
+///    learner step on the shared ThreadPool;
 ///  * per-actor LocalBuffers flush transition blocks into the learner
 ///    queue;
 ///  * one *learner* thread consumes the blocks, runs the existing DqnAgent

@@ -73,11 +73,18 @@ Matrix Matrix::GetRow(size_t r) const {
 }
 
 Matrix Matrix::SliceRows(size_t begin, size_t end) const {
-  CROWDRL_CHECK(begin <= end && end <= rows_);
-  Matrix out(end - begin, cols_);
-  std::memcpy(out.data(), data_.data() + begin * cols_,
-              (end - begin) * cols_ * sizeof(float));
+  Matrix out;
+  SliceRowsInto(begin, end, &out);
   return out;
+}
+
+void Matrix::SliceRowsInto(size_t begin, size_t end, Matrix* out) const {
+  CROWDRL_CHECK(begin <= end && end <= rows_);
+  out->Resize(end - begin, cols_);
+  if (end > begin) {
+    std::memcpy(out->data(), data_.data() + begin * cols_,
+                (end - begin) * cols_ * sizeof(float));
+  }
 }
 
 Matrix& Matrix::operator+=(const Matrix& other) {

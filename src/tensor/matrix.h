@@ -87,6 +87,9 @@ class Matrix {
   Matrix GetRow(size_t r) const;
   /// Returns rows [begin, end) as a new matrix.
   Matrix SliceRows(size_t begin, size_t end) const;
+  /// Destination-passing SliceRows: resizes `*out` in place, so a warm
+  /// destination makes the copy allocation-free.
+  void SliceRowsInto(size_t begin, size_t end, Matrix* out) const;
 
   // ---- Elementwise arithmetic (shapes must match exactly). ----
   Matrix& operator+=(const Matrix& other);

@@ -67,32 +67,17 @@ TEST(BoundedQueueTest, PopBatchCoalescesUpToMax) {
   BoundedQueue<int> q(16);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.Push(i));
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(&out, 3, /*coalesce_us=*/0), 3u);
+  EXPECT_EQ(q.PopBatch(&out, 3), 3u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.PopBatch(&out, 8, /*coalesce_us=*/0), 2u);
+  EXPECT_EQ(q.PopBatch(&out, 8), 2u);
   EXPECT_EQ(out.size(), 5u);
-}
-
-TEST(BoundedQueueTest, PopBatchWaitsWithinWindowForStragglers) {
-  BoundedQueue<int> q(16);
-  ASSERT_TRUE(q.Push(1));
-  std::thread straggler([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_TRUE(q.Push(2));
-  });
-  std::vector<int> out;
-  // Generous window: the straggler lands inside it and joins the batch.
-  const size_t n = q.PopBatch(&out, 4, /*coalesce_us=*/500000);
-  straggler.join();
-  EXPECT_EQ(n, 2u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
 }
 
 TEST(BoundedQueueTest, PopBatchReturnsZeroWhenClosedAndDrained) {
   BoundedQueue<int> q(4);
   q.Close();
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(&out, 4, 1000), 0u);
+  EXPECT_EQ(q.PopBatch(&out, 4), 0u);
 }
 
 TEST(BoundedQueueTest, ConcurrentProducersConsumersConserveItems) {

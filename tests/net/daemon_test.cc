@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -239,6 +240,62 @@ TEST(LearnerDaemonTest, ScoringActorShipsTransitionsUpstream) {
   EXPECT_GT(stats.events_processed, 0);
   EXPECT_EQ(stats.requests, 0) << "scoring actors never hit the rank queue";
   EXPECT_GT(stats.replay_transitions, 0);
+}
+
+TEST(LearnerDaemonTest, InvalidClientTransitionsGetErrorFrames) {
+  DaemonFixture fx("bad_transitions");
+  ASSERT_TRUE(fx.daemon->Start().ok());
+  Result<std::unique_ptr<ActorClient>> client =
+      ActorClient::Connect(fx.socket_path);
+  ASSERT_TRUE(client.ok());
+  ActorClient* actor = client.value().get();
+  ASSERT_TRUE(actor->FetchSnapshot(0).ok());
+
+  // A genuine event's blocks, minted the way a scoring actor would.
+  TaskArrangementFramework local(
+      SmallFrameworkConfig(), &fx.workload, fx.workload.worker_feature_dim(),
+      fx.workload.task_feature_dim());
+  Rng rng(17);
+  Observation obs;
+  crowdrl::Feedback feedback;
+  TransitionBlocks valid;
+  for (int i = 0; valid.worker.empty(); ++i) {
+    ASSERT_LT(i, 100) << "no worker transition minted";
+    obs = fx.workload.MakeObservation(i, &rng);
+    local.OnArrival(obs);
+    const ScoringView view = actor->replica()->View();
+    const DecisionContext ctx = local.BuildDecision(obs);
+    const std::vector<int> ranking =
+        local.RankDecision(obs, ctx, local.ScoreDecision(ctx, view));
+    feedback = fx.workload.SimulateFeedback(obs, ranking, &rng);
+    valid = local.MakeTransitions(obs, ctx, ranking, feedback, view);
+  }
+
+  TransitionBlocks narrow_state = valid;
+  narrow_state.worker[0].state = Matrix(4, 3);
+  narrow_state.worker[0].valid_n = 4;
+  narrow_state.worker[0].action_row = 0;
+  TransitionBlocks no_action = valid;
+  no_action.worker[0].action_row = -1;
+  TransitionBlocks nan_reward = valid;
+  nan_reward.worker[0].reward = std::numeric_limits<float>::quiet_NaN();
+
+  FeedbackResponseHead resp;
+  for (const TransitionBlocks* bad : {&narrow_state, &no_action, &nan_reward}) {
+    EXPECT_EQ(actor->SubmitTransitions(obs.arrival_index, obs.worker,
+                                       feedback, *bad, &resp)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The connection survives and nothing bad reached the learner.
+  ASSERT_TRUE(actor->SubmitTransitions(obs.arrival_index, obs.worker,
+                                       feedback, valid, &resp)
+                  .ok());
+  EXPECT_EQ(resp.accepted, 1);
+  ServiceStats stats;
+  ASSERT_TRUE(actor->FetchStats(&stats).ok());
+  EXPECT_EQ(stats.events_submitted, 1);
+  EXPECT_EQ(stats.events_processed, 1);
 }
 
 TEST(LearnerDaemonTest, MalformedBodyGetsTypedErrorAndConnectionSurvives) {

@@ -2,18 +2,21 @@
 // thread's workspace and destination buffers are warm, a steady-state
 // batched scoring pass — StateTransformer::BuildInto + SetQNetwork
 // forwards + aggregation, i.e. exactly what the serve micro-batcher runs
-// per request — performs ZERO heap allocations.
+// per request — performs ZERO heap allocations. So does the Bellman-target
+// expectation actors compute at every feedback (FutureValueUnder).
 //
 // Verified with a counting global operator new. The counter is
 // thread-local so pool threads idling in the background cannot perturb it;
 // the measured section runs entirely on this test's thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "core/aggregator.h"
+#include "core/dqn_agent.h"
 #include "core/policy.h"
 #include "core/state.h"
 #include "nn/workspace.h"
@@ -160,6 +163,56 @@ TEST(AllocationFreeTest, TruncatedPoolScoringIsAllocationFreeToo) {
   for (int i = 0; i < 5; ++i) transformer.BuildInto(obs, &built);
   EXPECT_EQ(g_allocs, 0);
   EXPECT_EQ(built.valid_n, 8u);
+}
+
+TEST(AllocationFreeTest, SteadyStateBellmanTargetAllocatesNothing) {
+  // FutureValueUnder runs on actor threads at every feedback: once its
+  // thread scratch is warm, the expectation over branches and segments
+  // must neither allocate nor change value.
+  Rng rng(11);
+  SetQNetworkConfig cfg;
+  cfg.input_dim = 12;
+  cfg.hidden_dim = 16;
+  cfg.num_heads = 4;
+  SetQNetwork online(cfg, &rng);
+  SetQNetwork target(cfg, &rng);
+  const QNetView view{&online, &target};
+
+  FutureStateSpec future;
+  future.branches.resize(2);
+  future.branches[0].base = Matrix::Uniform(9, 12, &rng);
+  future.branches[0].segments = {{9, 0.5f}, {4, 0.25f}, {0, 0.1f}};
+  future.branches[1].base = Matrix::Uniform(6, 12, &rng);
+  future.branches[1].segments = {{6, 0.15f}, {2, 0.0f}};
+
+  // Reference: the same expectation from fresh slices and fresh caches.
+  const auto reference = [&](bool double_q) {
+    double expectation = 0;
+    for (const auto& branch : future.branches) {
+      for (const auto& [valid_n, prob] : branch.segments) {
+        if (valid_n == 0 || prob <= 0) continue;
+        const Matrix pool = branch.base.SliceRows(0, valid_n);
+        const std::vector<double> tq = target.QValues(pool, valid_n);
+        double value = *std::max_element(tq.begin(), tq.end());
+        if (double_q) {
+          const std::vector<double> oq = online.QValues(pool, valid_n);
+          value = tq[std::max_element(oq.begin(), oq.end()) - oq.begin()];
+        }
+        expectation += static_cast<double>(prob) * value;
+      }
+    }
+    return expectation;
+  };
+
+  for (const bool double_q : {true, false}) {
+    const double expected = reference(double_q);
+    FutureValueUnder(view, future, double_q);  // warm-up
+    g_allocs = 0;
+    double value = 0;
+    for (int i = 0; i < 5; ++i) value = FutureValueUnder(view, future, double_q);
+    EXPECT_EQ(g_allocs, 0) << "double_q=" << double_q;
+    EXPECT_EQ(value, expected) << "double_q=" << double_q;
+  }
 }
 
 }  // namespace

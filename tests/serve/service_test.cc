@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "serve/workload.h"
 
 namespace crowdrl {
@@ -89,7 +91,6 @@ TEST(ArrangementServiceTest, ServesConcurrentActorsAndLearnsEverything) {
                                      workload.task_feature_dim());
   ServiceConfig cfg;
   cfg.max_batch = 4;
-  cfg.batch_window_us = 200;
   cfg.flush_block_events = 3;
   cfg.publish_every_events = 4;
   ArrangementService service(&framework, cfg);
@@ -118,6 +119,68 @@ TEST(ArrangementServiceTest, ServesConcurrentActorsAndLearnsEverything) {
   EXPECT_LE(stats.rank_latency_p99_ms, stats.rank_latency_max_ms);
   // And the framework actually trained.
   EXPECT_GT(framework.transitions_stored(), 0);
+}
+
+TEST(ArrangementServiceTest, RankNeverWaitsForTheSharedPool) {
+  // The learner's steps own ThreadPool::Global(), which runs one job at a
+  // time. Ranking must not queue behind them: hold the pool with a job
+  // whose iterations wait on a latch, then require concurrent Rank calls
+  // (which drain into multi-request batches) to finish before it opens.
+  const ServeWorkload workload(SmallWorkloadConfig());
+  TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                     workload.worker_feature_dim(),
+                                     workload.task_feature_dim());
+  ServiceConfig cfg;
+  cfg.max_batch = 8;
+  ArrangementService service(&framework, cfg);
+  service.Start();
+
+  std::atomic<bool> latch_open{false};
+  std::atomic<int> iterations_entered{0};
+  ThreadPool& pool = ThreadPool::Global();
+  std::thread holder([&] {
+    pool.ParallelFor(pool.num_threads(), [&](size_t) {
+      iterations_entered.fetch_add(1);
+      while (!latch_open.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (iterations_entered.load() == 0) std::this_thread::yield();
+
+  constexpr int kActors = 4;
+  constexpr int kRanksPerActor = 25;
+  std::atomic<int> ranks_done{0};
+  std::atomic<int> bad_rankings{0};
+  std::vector<std::thread> actors;
+  for (int a = 0; a < kActors; ++a) {
+    actors.emplace_back([&, a] {
+      Rng rng(2000 + a);
+      auto session = service.NewSession();
+      for (int i = 0; i < kRanksPerActor; ++i) {
+        const Observation obs =
+            workload.MakeObservation(a * kRanksPerActor + i, &rng);
+        ArrangementService::Ticket ticket;
+        if (!IsPermutation(session->Rank(obs, &ticket), obs.tasks.size())) {
+          ++bad_rankings;
+        }
+        ++ranks_done;
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (ranks_done.load() < kActors * kRanksPerActor &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(ranks_done.load(), kActors * kRanksPerActor)
+      << "Rank calls waited on the held shared pool";
+  latch_open = true;
+  holder.join();
+  for (auto& t : actors) t.join();
+  service.Stop();
+  EXPECT_EQ(bad_rankings.load(), 0);
 }
 
 TEST(ArrangementServiceTest, InlineLearningProcessesSynchronously) {
